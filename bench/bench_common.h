@@ -269,7 +269,7 @@ inline void RunGovernedSection(const EngineFleet& fleet,
 
 /// Row-vs-batch execution ablation: times the workload twice on `engine`,
 /// flipping the process-wide default execution mode between runs (the
-/// process default is what pool workers read, so parallel plans flip too).
+/// process default is what every thread reads).
 /// Prints per-query speedups and records one report row per (query, arm)
 /// under section "<section>/batch_ablation" with engine names "exec-row" /
 /// "exec-batch" — both arms land in BENCH_*.json, so bench_diff gates each

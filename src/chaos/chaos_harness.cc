@@ -198,7 +198,7 @@ void RunErrorCycle(const ChaosOptions& options, const std::string& path,
       "file.sync=err@0.5",           "compact.build=err@0.5",
       "compact.persist=err@0.6",     "dbfile.write.section=err@0.3",
       "dbfile.write.toc=err@0.6",    "atomic.rename=err@0.6",
-      "exec.query=oom@0.5",          "pool.task=delay:1@0.3",
+      "exec.query=oom@0.5",
   };
   auto opened = UpdatableDatabase::OpenDurable(path, store_opts);
   if (!opened.ok()) {

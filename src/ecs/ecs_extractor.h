@@ -37,13 +37,9 @@ struct EcsExtraction {
   std::vector<std::vector<EcsId>> links;
 };
 
-/// Production path: single scan using the subject→CS map. With a pool the
-/// discovery/tagging passes run chunked over the workers and the PSO
-/// partition sort runs in parallel; ECS ids are minted from the sorted
-/// (subjectCS, objectCS) pair set, so the output is bit-identical to the
-/// serial (null pool) path.
-EcsExtraction ExtractExtendedCharacteristicSets(const CsExtraction& cs,
-                                                ThreadPool* pool = nullptr);
+/// Production path: single scan using the subject→CS map. ECS ids are
+/// minted from the sorted (subjectCS, objectCS) pair set.
+EcsExtraction ExtractExtendedCharacteristicSets(const CsExtraction& cs);
 
 /// Literal Algorithm 2: p² pairwise object-subject hash joins over csMap
 /// chunks. Quadratic in the number of CSs — use only on small inputs.

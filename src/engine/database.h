@@ -141,11 +141,10 @@ class Database : public QueryEngine {
 
   // The Executor holds pointers into this object, and Database is movable —
   // so executors are constructed per Execute() call (they are a handful of
-  // pointers) rather than cached across moves. The thread pool (null on
-  // the serial path) is shared across concurrent Execute() calls.
+  // pointers) rather than cached across moves.
   Executor MakeExecutor() const {
     return Executor(&dict_, &cs_index_, &ecs_index_, &graph_, &stats_,
-                    options_, pool_.get(), buffer_.get());
+                    options_, buffer_.get());
   }
 
   /// Switches the SPO/PSO tables to compressed paged storage: builds (or
@@ -165,9 +164,6 @@ class Database : public QueryEngine {
   EcsStatistics stats_;
   EngineOptions options_;
   BuildInfo info_;
-  // Worker pool behind EngineOptions::parallelism (null = serial path);
-  // used by Build() for extraction/index tasks and by every Execute().
-  std::shared_ptr<ThreadPool> pool_;
   // Paged mode (null otherwise). shared_ptrs keep the paged tables and the
   // buffer manager at stable addresses across Database moves — the indexes
   // hold raw pointers to the tables and the buffer's registered loaders

@@ -52,8 +52,8 @@ struct ExecStats {
   /// the primary failed (GovernedEngine); summed across sub-results.
   uint64_t degraded_to_baseline = 0;
   /// Largest single operator output table, in bytes. Defined over the
-  /// deterministic per-operator outputs (not a concurrent RSS high-water
-  /// mark), so it is bit-identical at every parallelism setting.
+  /// deterministic per-operator outputs (not an RSS high-water mark), so it
+  /// is bit-identical from run to run.
   uint64_t budget_bytes_peak = 0;
 
   void Accumulate(const ExecStats& other) {

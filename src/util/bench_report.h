@@ -25,7 +25,7 @@
 // Latency regressions are tolerance-gated (wall time is noisy across CI
 // runners; rows under `min_seconds` are never flagged on time). Counter
 // regressions use a tighter tolerance: ExecStats counters are deterministic
-// at every parallelism, so a counter jump is a real plan/exec change, not
+// from run to run, so a counter jump is a real plan/exec change, not
 // noise. A row present in the baseline but missing from the current report
 // is a regression (lost coverage); new rows are reported as notes.
 

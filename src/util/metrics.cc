@@ -1,5 +1,6 @@
 #include "util/metrics.h"
 
+#include <algorithm>
 #include <bit>
 #include <map>
 #include <memory>
@@ -12,8 +13,11 @@ namespace metrics {
 namespace {
 
 inline int BucketOf(uint64_t value) {
-  // 0,1 -> 0; [2,4) -> 2; [2^(i-1), 2^i) -> i.
-  return value < 2 ? 0 : 64 - std::countl_zero(value);
+  // 0,1 -> 0; [2,4) -> 2; [2^(i-1), 2^i) -> i; the last bucket also holds
+  // [2^63, 2^64), whose bit width would index one past the array.
+  return value < 2 ? 0
+                   : std::min(64 - std::countl_zero(value),
+                              Histogram::kBuckets - 1);
 }
 
 }  // namespace
@@ -37,7 +41,11 @@ uint64_t Histogram::Quantile(double q) const {
   for (int i = 0; i < kBuckets; ++i) {
     seen += buckets_[i].load(std::memory_order_relaxed);
     if (seen > rank) {
-      return i == 0 ? 1 : (uint64_t{1} << i) - 1;  // bucket upper bound
+      // The bucket's upper bound, clamped so no quantile exceeds the max.
+      const uint64_t upper = i == 0               ? 1
+                             : i == kBuckets - 1 ? UINT64_MAX
+                                                 : (uint64_t{1} << i) - 1;
+      return std::min(upper, max());
     }
   }
   return max();

@@ -11,8 +11,7 @@
 //    allocation failure into Status::ResourceExhausted. A limit of 0
 //    disables enforcement but keeps the accounting (footprint
 //    measurement). BudgetScope installs a budget thread-locally so deep
-//    operator code charges without signature plumbing; worker tasks
-//    re-install the scope on their own thread.
+//    operator code charges without signature plumbing.
 //
 //  * ResourceGovernor — a bounded concurrent-query gate. Admit() grants a
 //    slot immediately when fewer than `max_concurrent` queries run,
@@ -51,8 +50,8 @@ class BudgetExceededError : public std::bad_alloc {
   }
 };
 
-/// Cumulative allocation accounting for one query. Thread-safe: worker
-/// tasks of the same query charge the same budget concurrently.
+/// Cumulative allocation accounting for one query. Charged on the query's
+/// thread; the counters are atomics so other threads may read them.
 class MemoryBudget {
  public:
   MemoryBudget() = default;
@@ -130,8 +129,7 @@ class MemoryBudget {
 };
 
 /// RAII thread-local installation of a query's budget, so buffer-growth
-/// code (BindingTable) charges without parameter plumbing. Scopes nest;
-/// each worker task installs its own scope on its own thread.
+/// code (BindingTable) charges without parameter plumbing. Scopes nest.
 class BudgetScope {
  public:
   explicit BudgetScope(MemoryBudget* budget);

@@ -17,10 +17,9 @@
 //
 // Model: every thread keeps a private span stack and buffer (registered
 // with the global collector on first use). Nesting within a thread is
-// recorded via parent links; pool tasks traced on worker threads appear as
-// roots of that worker's forest — stitching task spans under their
-// submitting span would require cross-thread context propagation the
-// engine's coarse task granularity doesn't warrant (DESIGN.md
+// recorded via parent links; spans on a server worker thread appear as
+// roots of that worker's forest — a query runs on one thread, so its spans
+// nest without cross-thread context propagation (DESIGN.md
 // "Observability"). Completed spans additionally feed an
 // "optime.<name>" duration histogram (microseconds) in the metrics
 // registry, so per-operator wall time survives a Clear().

@@ -1,9 +1,9 @@
-// Satellite (b) of the parallel-execution PR: seeded concurrency stress.
-// Many client threads fire mixed queries at one shared Database (whose
-// Execute() calls share one thread pool), at a ShardedDatabase, and at an
-// UpdatableDatabase snapshot — all seeded through util/random.h so a
-// failure replays exactly. The suite runs under TSan in CI; its job is to
-// give the sanitizer real concurrent traffic over every parallel path.
+// Seeded concurrency stress. Many client threads fire mixed queries at one
+// shared Database and at an UpdatableDatabase snapshot — all seeded
+// through util/random.h so a failure replays exactly. Each query runs on
+// its client's thread, so this is the concurrency the engine has: many
+// Execute() calls on shared read-only indexes. The suite runs under TSan
+// in CI; its job is to give the sanitizer real concurrent traffic.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "engine/database.h"
-#include "engine/sharded_database.h"
 #include "engine/update_store.h"
 #include "sparql/parser.h"
 #include "test_util.h"
@@ -68,7 +67,6 @@ TEST(ConcurrencyStressTest, SharedDatabaseManyClients) {
   EngineOptions opt;
   opt.use_hierarchy = true;
   opt.use_planner = true;
-  opt.parallelism = 4;  // Execute() calls share the pool across clients
   auto db = Database::Build(data, opt);
   ASSERT_TRUE(db.ok());
 
@@ -84,33 +82,12 @@ TEST(ConcurrencyStressTest, SharedDatabaseManyClients) {
   Hammer(db.value(), workload, expect);
 }
 
-TEST(ConcurrencyStressTest, SharedShardedDatabaseManyClients) {
-  Dataset data = testutil::RandomDataset(35, 7, 500, 0.3, kStressSeed + 1);
-  ShardedOptions opt;
-  opt.num_shards = 4;
-  opt.engine.parallelism = 4;
-  auto db = ShardedDatabase::Build(data, opt);
-  ASSERT_TRUE(db.ok());
-
-  std::vector<SelectQuery> workload =
-      ParsedWorkload(kStressSeed + 1, kQueriesPerThread * 2);
-  std::vector<std::vector<std::vector<TermId>>> expect;
-  for (const SelectQuery& q : workload) {
-    auto r = db.value().Execute(q);
-    ASSERT_TRUE(r.ok());
-    expect.push_back(
-        r.value().table.CanonicalRows(q.EffectiveProjection()));
-  }
-  Hammer(db.value(), workload, expect);
-}
-
 TEST(ConcurrencyStressTest, UpdateStoreSnapshotReaders) {
   // Writers are external to this test (UpdatableDatabase is single-writer
   // by contract); the concurrency under test is N readers sharing the
-  // compacted snapshot, whose Execute() path uses the parallel engine.
+  // compacted snapshot.
   Dataset data = testutil::RandomDataset(35, 7, 500, 0.3, kStressSeed + 2);
   UpdateOptions opt;
-  opt.engine.parallelism = 4;
   auto store_r = UpdatableDatabase::Create(data, opt);
   ASSERT_TRUE(store_r.ok());
   UpdatableDatabase store = std::move(store_r).ValueOrDie();

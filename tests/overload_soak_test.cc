@@ -40,7 +40,6 @@ TEST(OverloadSoakTest, TwoHundredQueriesAllResolveAndAccountingBalances) {
   EngineOptions engine_opts;
   engine_opts.use_hierarchy = true;
   engine_opts.use_planner = true;
-  engine_opts.parallelism = 2;
   auto db = Database::Build(data, engine_opts);
   ASSERT_TRUE(db.ok());
   SixPermEngine fallback = SixPermEngine::Build(data);
@@ -58,9 +57,7 @@ TEST(OverloadSoakTest, TwoHundredQueriesAllResolveAndAccountingBalances) {
 
   if (failpoint::CompiledIn()) {
     failpoint::SetSeed(7);
-    ASSERT_TRUE(
-        failpoint::ArmFromSpec("exec.query=oom@0.2,pool.task=delay:1ms")
-            .ok());
+    ASSERT_TRUE(failpoint::ArmFromSpec("exec.query=oom@0.2").ok());
   }
 
   std::vector<SelectQuery> pool;

@@ -54,7 +54,6 @@ class PagedFixture {
   const Dataset& data() const { return data_; }
   const Database& resident() const { return *resident_; }
   const Database& paged() const { return *paged_; }
-  const Database& paged_parallel() const { return *paged_parallel_; }
   uint64_t frame_pool_bytes() const { return frame_pool_bytes_; }
 
  private:
@@ -76,29 +75,21 @@ class PagedFixture {
     frame_pool_bytes_ =
         std::max<uint64_t>(512, decoded * (scale > 1 ? 25 : 10) / 100);
 
-    EngineOptions serial;
-    serial.parallelism = 1;
     resident_ = std::make_unique<Database>(
-        std::move(Database::Build(data_, serial)).ValueOrDie());
+        std::move(Database::Build(data_)).ValueOrDie());
 
-    EngineOptions paged_opt = serial;
+    EngineOptions paged_opt;
     paged_opt.use_paged_storage = true;
     paged_opt.frame_pool_bytes = frame_pool_bytes_;
     paged_opt.page_size_bytes = 256;  // many pages even at scale 1
     paged_ = std::make_unique<Database>(
         std::move(Database::Build(data_, paged_opt)).ValueOrDie());
-
-    EngineOptions paged_par = paged_opt;
-    paged_par.parallelism = 3;
-    paged_parallel_ = std::make_unique<Database>(
-        std::move(Database::Build(data_, paged_par)).ValueOrDie());
   }
 
   Dataset data_;
   uint64_t frame_pool_bytes_ = 0;
   std::unique_ptr<Database> resident_;
   std::unique_ptr<Database> paged_;
-  std::unique_ptr<Database> paged_parallel_;
 };
 
 using Rows = std::vector<std::vector<TermId>>;
@@ -144,40 +135,23 @@ TEST_P(PagedDifferentialTest, PagedModeIsBitIdenticalToResident) {
   const ExecStats& rs = rr.value().stats;
   EXPECT_EQ(rs.pages_evicted, 0u) << "resident mode never evicts";
 
-  for (const Database* db : {&fx.paged(), &fx.paged_parallel()}) {
-    const char* mode = db == &fx.paged() ? "paged" : "paged-parallel";
-    auto pr = db->Execute(q.value());
-    ASSERT_TRUE(pr.ok()) << mode << " failed on " << cq.name << ": "
-                         << pr.status().ToString();
-    // Results are bit-identical — the *sequence* for ordered queries, the
-    // multiset otherwise (parallel partitioning may reorder unsorted
-    // output, exactly as in resident mode).
-    Rows seq = SequenceRows(pr.value().table, proj);
-    if (!q.value().order_by.empty() || db == &fx.paged()) {
-      EXPECT_EQ(seq, expect_seq) << mode << " sequence differs on " << cq.name;
-    } else {
-      EXPECT_EQ(Sorted(seq), Sorted(expect_seq))
-          << mode << " multiset differs on " << cq.name;
-    }
-    // ExecStats agree field by field except the page counters, which in
-    // paged mode report real (cache-state-dependent) buffer traffic. The
-    // comparison is serial-vs-serial: at parallelism > 1 partition counts
-    // legitimately change per-operator tallies like `joins`, exactly as in
-    // resident mode.
-    const ExecStats& ps = pr.value().stats;
-    EXPECT_EQ(ps.degraded_to_baseline, rs.degraded_to_baseline);
-    if (db == &fx.paged()) {
-      EXPECT_EQ(ps.rows_scanned, rs.rows_scanned) << mode << " " << cq.name;
-      EXPECT_EQ(ps.joins, rs.joins) << mode << " " << cq.name;
-      // The chunk-fed scan path must charge the query budget identically
-      // to the resident span path (the chunk-equivalence invariant): same
-      // intermediate rows, same peak bytes.
-      EXPECT_EQ(ps.intermediate_rows, rs.intermediate_rows)
-          << mode << " " << cq.name;
-      EXPECT_EQ(ps.budget_bytes_peak, rs.budget_bytes_peak)
-          << mode << " " << cq.name;
-    }
-  }
+  auto pr = fx.paged().Execute(q.value());
+  ASSERT_TRUE(pr.ok()) << "paged failed on " << cq.name << ": "
+                       << pr.status().ToString();
+  // Results are bit-identical: the same row sequence.
+  EXPECT_EQ(SequenceRows(pr.value().table, proj), expect_seq)
+      << "paged sequence differs on " << cq.name;
+  // ExecStats agree field by field except the page counters, which in
+  // paged mode report real (cache-state-dependent) buffer traffic.
+  const ExecStats& ps = pr.value().stats;
+  EXPECT_EQ(ps.degraded_to_baseline, rs.degraded_to_baseline);
+  EXPECT_EQ(ps.rows_scanned, rs.rows_scanned) << cq.name;
+  EXPECT_EQ(ps.joins, rs.joins) << cq.name;
+  // The chunk-fed scan path must charge the query budget identically to
+  // the resident span path (the chunk-equivalence invariant): same
+  // intermediate rows, same peak bytes.
+  EXPECT_EQ(ps.intermediate_rows, rs.intermediate_rows) << cq.name;
+  EXPECT_EQ(ps.budget_bytes_peak, rs.budget_bytes_peak) << cq.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -251,7 +225,6 @@ TEST(PagedExecTest, SaveOpenOpenMappedRoundTrip) {
   ASSERT_TRUE(fx.paged().Save(path).ok());
 
   EngineOptions opt;
-  opt.parallelism = 1;
   opt.use_paged_storage = true;
   opt.frame_pool_bytes = fx.frame_pool_bytes();
   opt.page_size_bytes = 256;

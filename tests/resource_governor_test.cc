@@ -51,7 +51,7 @@ TEST(MemoryBudgetTest, ChargeBeforeAllocateNeverExceedsLimit) {
   EXPECT_EQ(b.denied_bytes(), 41u);
   EXPECT_TRUE(b.exceeded());
   // Once exceeded, even a charge that would fit is refused (the query is
-  // already doomed; workers must quiesce, not keep allocating).
+  // already doomed; it must stop, not keep allocating).
   EXPECT_THROW(b.Charge(1), BudgetExceededError);
   EXPECT_EQ(b.charged(), 60u);
 }
@@ -385,7 +385,6 @@ class GovernedQueryTest : public ::testing::Test {
     EngineOptions opt;
     opt.use_hierarchy = true;
     opt.use_planner = true;
-    opt.parallelism = 1;  // deterministic charge sequence
     db_ = new Database(Database::Build(*data_, opt).ValueOrDie());
     fallback_ = new SixPermEngine(SixPermEngine::Build(*data_));
   }
