@@ -93,8 +93,8 @@ struct IdPattern {
 /// Materializes the solutions of `pattern` over a span of candidate triples:
 /// drops rows failing bound components or repeated-variable equality, and
 /// outputs one column per distinct named variable. With a QueryContext the
-/// scan checks for deadline/cancel/budget stops every kStopCheckRows rows
-/// (one B+-tree leaf) and throws QueryStopError.
+/// scan checks for deadline/cancel/budget stops once per kBatchRows block
+/// and throws QueryStopError.
 BindingTable ScanPattern(std::span<const Triple> triples,
                          const IdPattern& pattern, ExecStats* stats,
                          QueryContext* ctx = nullptr);
@@ -106,7 +106,7 @@ BindingTable ScanPattern(std::span<const Triple> triples,
 /// table. One Feed over the whole range is exactly ScanPattern: results,
 /// ExecStats, and budget charges are chunking-invariant (BindingTable's
 /// canonical capacity chain makes charge totals depend only on cumulative
-/// rows — the same property the batch engine relies on).
+/// rows).
 class PatternScanner {
  public:
   explicit PatternScanner(const IdPattern& pattern);
@@ -117,16 +117,15 @@ class PatternScanner {
 
  private:
   IdPattern pattern_;
-  bool use_batch_;
   BindingTable out_;
   uint64_t nullary_matches_ = 0;
 };
 
 /// Natural join on all shared columns (hash join, smaller side builds).
 /// With no shared columns this degrades to a cross product. With a
-/// QueryContext the build/probe loops check for stops every
-/// kStopCheckRows rows, and the build table is charged to the query's
-/// memory budget before construction.
+/// QueryContext the build/probe loops check for stops once per kBatchRows
+/// block, and the build table is charged to the query's memory budget
+/// before construction.
 BindingTable HashJoin(const BindingTable& left, const BindingTable& right,
                       ExecStats* stats, QueryContext* ctx = nullptr);
 

@@ -157,8 +157,8 @@ TEST_P(PagedDifferentialTest, PagedModeIsBitIdenticalToResident) {
 INSTANTIATE_TEST_SUITE_P(
     Catalog, PagedDifferentialTest,
     ::testing::Range(size_t{0}, testutil::ConformanceCatalog().size()),
-    [](const ::testing::TestParamInfo<size_t>& info) {
-      return testutil::ConformanceCatalog()[info.param].name;
+    [](const ::testing::TestParamInfo<size_t>& name_info) {
+      return testutil::ConformanceCatalog()[name_info.param].name;
     });
 
 // The pool is ~10% of the data: after the whole catalog has run, the
