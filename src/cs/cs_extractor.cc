@@ -45,10 +45,14 @@ CsExtraction ExtractCharacteristicSets(LoadTripleVec triples) {
   for (const LoadTriple& t : triples) out.properties.Register(t.p);
 
   // Line 1: sort by subject (full key keeps the order deterministic).
-  std::sort(triples.begin(), triples.end(),
-            [](const LoadTriple& a, const LoadTriple& b) {
-              return std::tuple(a.s, a.p, a.o) < std::tuple(b.s, b.p, b.o);
-            });
+  // Database::Build hands over deduplicated rows already in this order, so
+  // an O(n) check that stops at the first out-of-order pair skips the sort.
+  auto by_spo = [](const LoadTriple& a, const LoadTriple& b) {
+    return std::tuple(a.s, a.p, a.o) < std::tuple(b.s, b.p, b.o);
+  };
+  if (!std::is_sorted(triples.begin(), triples.end(), by_spo)) {
+    std::sort(triples.begin(), triples.end(), by_spo);
+  }
 
   // Lines 2-14: per subject group, aggregate the property bitmap and dedupe
   // it by content hash to mint CS ids in sorted-subject order.

@@ -49,8 +49,15 @@ class Database : public QueryEngine {
   /// Loads a dataset: extracts CSs and ECSs, builds every index. With
   /// options.use_hierarchy the PSO partitions are laid out in hierarchy
   /// pre-order (Sec. III.D), otherwise in ECS-id order.
-  static Result<Database> Build(const Dataset& dataset,
-                                EngineOptions options = {});
+  ///
+  /// Takes the dataset by value and moves its dictionary and triples into
+  /// the database: pass std::move(dataset) when the caller is done with it
+  /// and the build copies nothing; an lvalue is copied once, at the call.
+  /// The input triple vector is freed as soon as the loader rows exist.
+  /// Triples already in (s,p,o) order, as a std::set yields them, skip the
+  /// dedup sort and CS extraction's subject sort (an O(n) is_sorted check
+  /// decides); the result is byte-identical either way.
+  static Result<Database> Build(Dataset dataset, EngineOptions options = {});
 
   /// Persists all structures into one binary database file. The file is
   /// fsynced before the call returns (DbFileWriter::Finish syncs), but the

@@ -67,6 +67,10 @@ class Dictionary {
 
   uint32_t InternPrefix(std::string_view prefix);
 
+  // Canonical string of every id (index id - 1), viewed in term_map_'s
+  // keys; the views live as long as this dictionary.
+  std::vector<std::string_view> CanonicalViews() const;
+
   // prefixes_[0] is always the empty prefix.
   std::vector<std::string> prefixes_;
   std::unordered_map<std::string, uint32_t> prefix_map_;
